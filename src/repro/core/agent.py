@@ -38,8 +38,7 @@ from repro.core.samplebatch import SampleColumns
 from repro.core.throttle import ThrottleController
 from repro.core.window import ColumnarWindow
 from repro.faults.checkpoint import (AgentCheckpoint, CheckpointVersionError,
-                                     FollowUpState, sample_from_dict,
-                                     sample_to_dict)
+                                     FollowUpState, sample_from_dict)
 from repro.faults.quarantine import sample_quarantine_reason, spec_is_plausible
 from repro.obs import Observability, default_observability
 from repro.obs.tracing import PipelineTrace, Span
@@ -737,7 +736,7 @@ class MachineAgent:
             taken_at=t,
             last_analysis=self._last_analysis,
             anomalies_seen=self.anomalies_seen,
-            windows={name: [sample_to_dict(s) for s in window.samples]
+            windows={name: window.to_records()
                      for name, window in self._windows.items()
                      if len(window)},
             detector_flags=self.detector.export_flags(),

@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Optional, Union
 
 from repro.core.forensics import ForensicsStore, IncidentRecord
 from repro.obs import Observability, default_observability
-from repro.records import CpiSample, CpiSpec
+from repro.records import (CpiSample, CpiSpec, sample_from_dict,
+                           sample_to_dict)
 
 __all__ = [
     "spec_to_dict", "spec_from_dict", "save_specs", "load_specs",
@@ -117,28 +118,8 @@ def load_specs(path: PathLike,
 
 
 # -- samples ---------------------------------------------------------------------
-
-def sample_to_dict(sample: CpiSample) -> dict:
-    """A plain-dict form of one sample (JSON-safe)."""
-    return {
-        "jobname": sample.jobname,
-        "platforminfo": sample.platforminfo,
-        "timestamp": sample.timestamp,
-        "cpu_usage": sample.cpu_usage,
-        "cpi": sample.cpi,
-        "taskname": sample.taskname,
-    }
-
-
-def sample_from_dict(data: dict) -> CpiSample:
-    """Rebuild a sample from its dict form."""
-    expected = {"jobname", "platforminfo", "timestamp", "cpu_usage", "cpi",
-                "taskname"}
-    if set(data) != expected:
-        raise ValueError(
-            f"bad sample record: keys {sorted(data)} != {sorted(expected)}")
-    return CpiSample(**data)
-
+# ``sample_to_dict``/``sample_from_dict`` are the record codec from
+# :mod:`repro.records`, shared with agent checkpoints.
 
 def save_samples(path: PathLike, samples: Iterable[CpiSample]) -> int:
     """Write samples as JSON lines; returns the number written."""

@@ -11,9 +11,10 @@ boxed Python floats, and batch ingest writes scalars straight from
 
 Two compatibility contracts are preserved exactly:
 
-* ``window.samples`` materialises the window as ``CpiSample`` objects that
-  are field-equal to what the old deque held, which keeps the agent
-  checkpoint format (``sample_to_dict`` round-trips) byte-identical.
+* ``window.to_records()`` builds the agent checkpoint's window records
+  straight from the columns, byte-identical to ``sample_to_dict`` over the
+  sample objects the old deque held; ``window.samples`` materialises those
+  objects, field-equal, as the object view for tests.
 * The capacity is the old ``deque(maxlen=64)``: appending to a full window
   evicts the oldest sample.
 
@@ -117,15 +118,37 @@ class ColumnarWindow:
         """CPI column, oldest first (float64 view)."""
         return self._cpi[self._start:self._end]
 
-    # -- object-view compatibility -------------------------------------------
+    # -- checkpoint records and the object view -------------------------------
+
+    def to_records(self) -> list[dict]:
+        """The window as checkpoint records, built from the columns.
+
+        Equal, key order included, to ``[sample_to_dict(s) for s in
+        self.samples]`` without building the sample objects: this is what
+        ``take_checkpoint`` stores.  Like ``CpiSample``, refuses a negative
+        CPU usage or CPI with ``ValueError`` (NaN passes).
+        """
+        start, end = self._start, self._end
+        usage = self._usage[start:end]
+        cpi = self._cpi[start:end]
+        for name, column in (("cpu_usage", usage), ("cpi", cpi)):
+            negative = column[column < 0]
+            if negative.size:
+                raise ValueError(f"{name} must be >= 0, got {negative[0]}")
+        taskname = self.taskname
+        return [
+            {"jobname": jobname, "platforminfo": platforminfo,
+             "timestamp": t, "cpu_usage": u, "cpi": c, "taskname": taskname}
+            for (jobname, platforminfo), t, u, c in zip(
+                self._meta, self._ts_us[start:end].tolist(), usage.tolist(),
+                cpi.tolist())
+        ]
 
     @property
     def samples(self) -> list[CpiSample]:
         """The window as sample objects, field-equal to what was appended.
 
-        This is the compatibility/checkpoint view: ``take_checkpoint`` runs
-        ``sample_to_dict`` over it, so restored agents see exactly the
-        dicts the deque-based window produced.
+        The object view, for tests; checkpoints use :meth:`to_records`.
         """
         ts = self._ts_us[self._start:self._end].tolist()
         usage = self._usage[self._start:self._end].tolist()

@@ -21,7 +21,10 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.records import CpiSample
+# The same sample codec ``repro.core.storage`` exports, taken from its home
+# beside the record type: importing anything under ``repro.core`` runs that
+# package's ``__init__``, which imports the agent, which imports this module.
+from repro.records import sample_from_dict, sample_to_dict
 
 __all__ = ["CHECKPOINT_VERSION", "CheckpointVersionError", "FollowUpState",
            "AgentCheckpoint", "CrashInjector",
@@ -34,16 +37,6 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointVersionError(ValueError):
     """A serialised checkpoint carries an unknown schema version."""
-
-
-def sample_to_dict(sample: CpiSample) -> dict[str, Any]:
-    """One sample as a JSON-able dict."""
-    return asdict(sample)
-
-
-def sample_from_dict(data: dict[str, Any]) -> CpiSample:
-    """Rebuild a sample from :func:`sample_to_dict` output."""
-    return CpiSample(**data)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ class FaultPlane:
             host.bind_endpoint(self.endpoint)
         self.ports: dict[str, _MachinePort] = {}
         root = np.random.SeedSequence(seed)
-        names = sorted(agents)
+        #: Port names in sweep order; the port set is fixed from here on.
+        self._names = names = tuple(sorted(agents))
         children = root.spawn(5 * len(names))
         for i, name in enumerate(names):
             up_rng, ack_rng, spec_rng, jitter_rng, crash_rng = (
@@ -140,7 +141,7 @@ class FaultPlane:
         ``only`` limits the fan-out to a subset of machines (shard workers
         push to their own slice; the union across workers is the fleet).
         """
-        for name in sorted(self.ports if only is None else only):
+        for name in self._names if only is None else sorted(only):
             self.ports[name].speclink.send(t, SpecPush(issued_at=t,
                                                        specs=dict(specs)))
 
@@ -186,7 +187,7 @@ class FaultPlane:
         component draws from its own generator, so a shard's schedule is
         unchanged by the machines it is pumped alongside.
         """
-        for name in sorted(self.ports if only is None else only):
+        for name in self._names if only is None else sorted(only):
             port = self.ports[name]
             port.uplink.tick(t)
             port.acklink.tick(t)
@@ -220,7 +221,7 @@ class FaultPlane:
         union across workers partitions the fleet exactly.
         """
         out: dict[str, dict[str, int]] = {}
-        for name in sorted(self.ports):
+        for name in self._names:
             port = self.ports[name]
             tallies: dict[str, int] = {}
             for link in (port.uplink, port.acklink, port.speclink):

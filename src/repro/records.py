@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-__all__ = ["SpecKey", "CpiSample", "CpiSpec"]
+__all__ = ["SpecKey", "CpiSample", "CpiSpec", "sample_to_dict",
+           "sample_from_dict"]
 
 MICROSECONDS_PER_SECOND = 1_000_000
 
@@ -76,6 +77,33 @@ class CpiSample:
     def key(self) -> SpecKey:
         """The (job, platform) aggregation key for this sample."""
         return SpecKey(self.jobname, self.platforminfo)
+
+
+def sample_to_dict(sample: CpiSample) -> dict:
+    """A plain-dict form of one sample (JSON-safe), keys in field order.
+
+    The one sample codec, for JSONL sample files, the spec-store WAL and
+    agent checkpoints; :mod:`repro.core.storage` and
+    :mod:`repro.faults.checkpoint` re-export it.
+    """
+    return {
+        "jobname": sample.jobname,
+        "platforminfo": sample.platforminfo,
+        "timestamp": sample.timestamp,
+        "cpu_usage": sample.cpu_usage,
+        "cpi": sample.cpi,
+        "taskname": sample.taskname,
+    }
+
+
+def sample_from_dict(data: dict) -> CpiSample:
+    """Rebuild a sample; raises on missing/extra keys so corruption is loud."""
+    expected = {"jobname", "platforminfo", "timestamp", "cpu_usage", "cpi",
+                "taskname"}
+    if set(data) != expected:
+        raise ValueError(
+            f"bad sample record: keys {sorted(data)} != {sorted(expected)}")
+    return CpiSample(**data)
 
 
 @dataclass(frozen=True)

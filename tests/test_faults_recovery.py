@@ -1,6 +1,8 @@
 """Tests for agent checkpointing, crash, and deterministic recovery."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -8,11 +10,12 @@ from repro.cluster.task import SchedulingClass
 from repro.core.agent import MachineAgent
 from repro.core.config import CpiConfig
 from repro.core.policy import PolicyAction
+from repro.core.window import WINDOW_CAPACITY, ColumnarWindow
 from repro.faults.checkpoint import (CHECKPOINT_VERSION, AgentCheckpoint,
                                      CheckpointVersionError, FollowUpState)
 from repro.obs import Observability
 from repro.perf.sampler import CpiSampler, SamplerConfig
-from repro.records import SpecKey
+from repro.records import CpiSample, SpecKey
 from repro.testing import (
     NOISY_NEIGHBOR_PROFILE,
     SENSITIVE_PROFILE,
@@ -86,6 +89,14 @@ class TestCheckpointSerialisation:
         assert restored == checkpoint
 
 
+    def test_sample_codec_is_the_storage_codec(self):
+        from repro.core import storage
+        from repro.faults import checkpoint
+
+        assert checkpoint.sample_to_dict is storage.sample_to_dict
+        assert checkpoint.sample_from_dict is storage.sample_from_dict
+
+
 class TestCrashSemantics:
     def test_crash_wipes_volatile_state_keeps_specs_and_incidents(self):
         machine, sampler, agent, obs = build_rig()
@@ -155,14 +166,114 @@ class TestCheckpointRecovery:
 
     def test_restored_windows_match_checkpoint(self):
         machine, sampler, agent, obs = build_rig()
+        # Fill through the columnar ingest path, so the windows before the
+        # crash and the ones restore rebuilds come from different code.
+        agent.analysis_engine = "vector"
+        agent.vector_min_batch = 1
         run_rig(machine, sampler, agent, 0, 120)
+
+        def columns(window):
+            return (window.timestamps_us.tolist(),
+                    window.timestamps_sec.tolist(),
+                    window.cpu_usage.tolist(), window.cpi.tolist(),
+                    [(s.jobname, s.platforminfo) for s in window.samples])
+
+        before = {name: columns(w) for name, w in agent._windows.items()}
+        assert before
         checkpoint = agent.take_checkpoint(120)
         agent.crash(120)
         agent.restore(checkpoint, 125)
-        for taskname, samples in checkpoint.windows.items():
-            window = agent._windows[taskname]
-            assert [s.cpi for s in window.samples] == [s["cpi"]
-                                                      for s in samples]
+        assert set(checkpoint.windows) == set(before)
+        for taskname, expected in before.items():
+            assert columns(agent._windows[taskname]) == expected
+
+    @pytest.mark.parametrize("column", ["cpu_usage", "cpi"])
+    def test_checkpoint_refuses_negative_values(self, column):
+        machine, sampler, agent, obs = build_rig()
+        window = ColumnarWindow("victim/0")
+        values = {"cpu_usage": 1.0, "cpi": 1.0, column: -0.5}
+        window.append(60_000_000, 60, values["cpu_usage"], values["cpi"],
+                      "victim", machine.platform.name)
+        agent._windows["victim/0"] = window
+        with pytest.raises(ValueError, match=f"{column} must be >= 0"):
+            agent.take_checkpoint(60)
+
+    def test_restore_rejects_record_with_bad_keys(self):
+        machine, sampler, agent, obs = build_rig()
+        run_rig(machine, sampler, agent, 0, 120)
+        data = json.loads(json.dumps(agent.take_checkpoint(120).to_dict()))
+        del next(iter(data["windows"].values()))[0]["cpu_usage"]
+        agent.crash(120)
+        with pytest.raises(ValueError, match="bad sample record"):
+            agent.restore_from_dict(data, 125)
+
+
+def awkward_batch(step, platform):
+    """Three tasks of two jobs at one window close, with values whose JSON
+    form is easy to get wrong (long reprs, tiny and huge magnitudes)."""
+    return [
+        CpiSample(jobname=job, platforminfo=platform,
+                  timestamp=1_700_000_000_123_457 + 15_000_001 * step,
+                  cpu_usage=(5e-324 if step == 5
+                             else (0.1 + 0.2) * (step % 7) + k / 3),
+                  cpi=(999.9999999999999 if step == 6
+                       else 1.0 + 1e-12 * step + math.pi * k),
+                  taskname=f"{job}/{k}")
+        for k, job in enumerate(("victim", "victim", "batch"))
+    ]
+
+
+class TestCheckpointFormat:
+    """Checkpoint window records are byte-identical to the old encoder:
+    ``dataclasses.asdict`` over each window's ``CpiSample`` objects."""
+
+    @staticmethod
+    def assert_matches_asdict(agent, t):
+        checkpoint = agent.take_checkpoint(t)
+        oracle = {**checkpoint.to_dict(),
+                  "windows": {name: [dataclasses.asdict(s)
+                                     for s in window.samples]
+                              for name, window in agent._windows.items()
+                              if len(window)}}
+        assert oracle["windows"]
+        assert json.dumps(checkpoint.to_dict()) == json.dumps(oracle)
+
+    @staticmethod
+    def make_agent(engine):
+        machine = make_quiet_machine()
+        agent = MachineAgent(machine, FAST, obs=Observability(),
+                             analysis_engine=engine)
+        agent.vector_min_batch = 1
+        return machine, agent
+
+    def test_scalar_append_sample_windows(self):
+        machine, agent = self.make_agent("scalar")
+        for step in range(20):
+            agent.ingest_samples(15 * step,
+                                 awkward_batch(step, machine.platform.name))
+        # append_sample directly, NaN included: the format passes it through.
+        window = agent._windows["victim/0"]
+        window.append_sample(CpiSample("victim", machine.platform.name,
+                                       1_800_000_000_000_000, math.nan,
+                                       math.nan, "victim/0"))
+        self.assert_matches_asdict(agent, 300)
+
+    def test_columnar_ingest_windows(self):
+        machine, agent = self.make_agent("vector")
+        for step in range(20):
+            agent.ingest_samples(15 * step,
+                                 awkward_batch(step, machine.platform.name))
+        self.assert_matches_asdict(agent, 300)
+
+    def test_window_compacted_past_capacity(self):
+        machine, agent = self.make_agent("vector")
+        steps = 3 * WINDOW_CAPACITY + 5  # past the 2x buffer: compacted
+        for step in range(steps):
+            agent.ingest_samples(15 * step,
+                                 awkward_batch(step, machine.platform.name))
+        assert all(len(w) == WINDOW_CAPACITY
+                   for w in agent._windows.values())
+        self.assert_matches_asdict(agent, 15 * steps)
 
 
 class TestCrashRestartDeterminism:
