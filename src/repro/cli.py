@@ -23,7 +23,8 @@ Global observability flags (accepted by every command):
   (``demo`` only).
 * ``--profile [PSTATS]`` — run the command under :mod:`cProfile` and print
   the hottest functions (optionally dumping raw pstats data to PSTATS);
-  see ``docs/performance.md``.
+  a sharded ``demo --jobs N`` also prints its stage timers, which name
+  each worker's start path; see ``docs/performance.md``.
 
 Telemetry-plane flags (``demo``): ``--telemetry`` scrapes the registry
 into the simulated-time TSDB at every sampling-window close and evaluates
@@ -214,13 +215,15 @@ def _cmd_demo(minutes: int, seed: int,
               metrics_out: Optional[str] = None,
               timeseries_out: Optional[str] = None,
               console: bool = False,
-              console_json: Optional[str] = None) -> int:
+              console_json: Optional[str] = None,
+              profile: bool = False) -> int:
     from repro.experiments.scenarios import demo_scenario
 
     telemetry = bool(telemetry or timeseries_out or console or console_json)
     kwargs = dict(seed=seed, fault_profile=fault_profile,
                   fault_seed=fault_seed, telemetry=telemetry)
     jobs = _effective_jobs(jobs)
+    stages = None
     if jobs > 1:
         from repro.cluster.shards import run_sharded
 
@@ -233,6 +236,10 @@ def _cmd_demo(minutes: int, seed: int,
         fault_tallies = (result.fault_tallies
                          if pipeline.faults is not None else None)
         fleet_console = result.fleet_console if telemetry else None
+        if profile:
+            # Worker stages included: worker_adopt / worker_build /
+            # worker_prebuild name the start path each worker took.
+            stages = result.timers.render()
     else:
         scenario = demo_scenario(**kwargs)
         pipeline = scenario.pipeline
@@ -280,6 +287,10 @@ def _cmd_demo(minutes: int, seed: int,
         suffix = (" (coordinator-side stages only under --jobs > 1)"
                   if jobs > 1 else "")
         print(f"wrote {written} traces to {trace_json}{suffix}")
+    if stages is not None:
+        print()
+        print("shard stages:")
+        print(stages)
     return 0
 
 
@@ -395,7 +406,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                              metrics_out=args.metrics_out,
                              timeseries_out=args.timeseries_out,
                              console=args.console,
-                             console_json=args.console_json)
+                             console_json=args.console_json,
+                             profile=args.profile is not None)
         if args.command == "list":
             return _cmd_list()
         if args.command == "experiment":

@@ -5,17 +5,20 @@ enables rapid responses and increases scalability" — makes the fleet
 embarrassingly parallel per machine: all cross-machine coupling flows
 through the central aggregation service.  :func:`run_sharded` exploits
 exactly that structure: machines are partitioned across N persistent
-worker processes (:mod:`repro.cluster.shardworker`), each rebuilding the
-full deterministic scenario and executing only its shard, while this
-coordinator keeps the control plane — the canonical
+worker processes (:mod:`repro.cluster.shardworker`), each holding a
+replica of the full deterministic scenario and executing only its shard,
+while this coordinator keeps the control plane — the canonical
 :class:`~repro.core.aggregator.CpiAggregator`, the spec-refresh decision,
 the sample log, incident forensics, and merged telemetry.
 
 **The worker pool.**  Workers live in a :class:`ShardPool` that survives
 across runs (trials, experiments, bench iterations): process spawn is
-paid once per pool lifetime, and workers prebuild the next scenario
-replica during idle time once they have seen the same scenario twice —
-so warm reruns start with ``coordinator_spawn`` near zero.  A module-wide
+paid once per pool lifetime.  A worker forked for a run *adopts* the
+coordinator's freshly built replica instead of building its own, so a
+fresh pool pays the replicated build once per run, not once per worker.
+Existing workers build on request, and prebuild the next replica during
+idle time once they have seen the same scenario twice — so warm reruns
+start with ``coordinator_spawn`` near zero.  A module-wide
 :func:`default_pool` serves every ``run_sharded`` call that does not
 bring its own; any failure mid-run resets the pool (workers terminated,
 segments unlinked), so no run ever observes another run's leftovers.
@@ -72,12 +75,14 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional
 
-from repro.cluster.shardworker import (ShardSpec, ShardedRunUnsupported,
-                                       barrier_ticks, check_shardable,
-                                       run_pool_worker)
+from repro.cluster.shardworker import (Replica, ShardSpec,
+                                       ShardedRunUnsupported, barrier_ticks,
+                                       build_replica, run_pool_worker,
+                                       scenario_key)
 from repro.cluster.shm import ShmRing, ShmRingStalled
 from repro.core.samplebatch import SampleColumns
-from repro.obs.metrics import merge_state
+from repro.obs import Observability, set_default_observability
+from repro.obs.metrics import export_state, merge_state
 from repro.perf.profiling import StageTimers
 from repro.records import CpiSample
 
@@ -157,30 +162,45 @@ class ShardPool:
         #: Processes ever started — bench asserts warm reruns add zero.
         self.spawned_total = 0
 
-    def lease(self, count: int) -> list[_PoolWorker]:
+    def lease(self, count: int,
+              replica: Optional[Replica] = None) -> list[_PoolWorker]:
         """Hand out ``count`` live workers, spawning or replacing as needed.
 
         A worker is replaced if its process died *or* its ring's mapping
         is gone — an external ``sweep_segments()`` (the crash backstop is
         process-global) closes pool rings out from under us, and leasing
         must hand out healthy transport, not a dangling segment.
+
+        ``replica`` goes to every worker this lease starts, but only on a
+        fork context, where the child inherits it in memory and skips its
+        own build; a spawned child would need it pickled, so it builds.
         """
+        if self._ctx.get_start_method() != "fork":
+            replica = None
         for i, worker in enumerate(self._workers):
             if not worker.process.is_alive() or worker.ring.closed:
                 self._dispose(worker, terminate=True)
-                self._workers[i] = self._spawn(worker.slot)
+                self._workers[i] = self._spawn(worker.slot, replica)
         while len(self._workers) < count:
-            self._workers.append(self._spawn(len(self._workers)))
+            self._workers.append(self._spawn(len(self._workers), replica))
         return self._workers[:count]
 
-    def _spawn(self, slot: int) -> _PoolWorker:
+    def _spawn(self, slot: int, replica: Optional[Replica]) -> _PoolWorker:
         ring = ShmRing.create(self._ring_bytes)
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=run_pool_worker,
-            args=(child_conn, ring.name, ring.capacity),
-            name=f"repro-shard-{slot}", daemon=True)
-        process.start()
+        conns = ()
+        try:
+            parent_conn, child_conn = conns = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=run_pool_worker,
+                args=(child_conn, ring.name, ring.capacity, replica),
+                name=f"repro-shard-{slot}", daemon=True)
+            process.start()
+        except BaseException:
+            # Not tracked by the pool yet, so reset() cannot reach these.
+            for conn in conns:
+                conn.close()
+            ring.unlink()
+            raise
         child_conn.close()
         self.spawned_total += 1
         return _PoolWorker(slot=slot, process=process, conn=parent_conn,
@@ -389,25 +409,37 @@ def run_sharded(
     """Run ``builder(**kwargs)`` for ``seconds`` ticks across ``jobs`` workers.
 
     ``builder`` must be a module-level callable (workers import it by
-    reference) returning a Scenario-like object; it is called once here
-    for the coordinator replica and once per worker (amortised by the
-    pool's prebuild on repeat runs).  Workers come from ``pool`` if
-    given, else the process-wide :func:`default_pool` — unless
-    ``mp_context`` is passed, which gets a throwaway pool on that context
-    (contexts can't be mixed within a pool).  Raises
-    :class:`ShardedRunUnsupported` for scenarios the sharded engine cannot
-    replay and :class:`ShardCrashed` if any worker dies mid-run; either
-    way the pool is reset, so the failure cannot leak into later runs.
-    ``barrier_timeout`` bounds how long the coordinator waits at any
-    barrier (``None`` waits forever).
+    reference) returning a Scenario-like object.  It is called once here
+    for the coordinator replica, under a fresh default facade exactly as
+    a worker builds.  Workers forked for this run adopt that replica;
+    only workers that already existed, or workers on a spawn-only
+    platform, call the builder again (amortised by the pool's prebuild
+    on repeat runs).  At the end the run's metrics fold into the
+    caller's default registry, so back-to-back runs accumulate there as
+    in-process runs do, while ``result.obs`` reports this run alone.
+
+    Workers come from ``pool`` if given, else the process-wide
+    :func:`default_pool` — unless ``mp_context`` is passed, which gets a
+    throwaway pool on that context (contexts can't be mixed within a
+    pool).  Raises :class:`ShardedRunUnsupported` for scenarios the
+    sharded engine cannot replay and :class:`ShardCrashed` if any worker
+    dies mid-run; either way the pool is reset, so the failure cannot
+    leak into later runs.  ``barrier_timeout`` bounds how long the
+    coordinator waits at any barrier (``None`` waits forever).
     """
     kwargs = dict(kwargs or {})
     if seconds < 0:
         raise ValueError(f"seconds must be >= 0, got {seconds}")
     timers = timers if timers is not None else StageTimers()
     with timers.stage("coordinator_build"):
-        scenario = builder(**kwargs)
-        check_shardable(scenario)
+        # Built the way a worker builds, under a fresh default facade, so
+        # a worker forked for this run can adopt the replica as its own:
+        # the registry it inherits holds nothing of the caller's.
+        caller_obs = set_default_observability(None) or Observability()
+        try:
+            scenario, run_obs = build_replica(builder, kwargs)
+        finally:
+            set_default_observability(caller_obs)
         sim = scenario.simulation
         pipeline = scenario.pipeline
         shards = plan_shards(sim.machines, jobs)
@@ -420,11 +452,8 @@ def run_sharded(
         #: reproducing the single-process order exactly.  Workers demoted
         #: their own hosts to schedule-tracking replicas.
         host = pipeline.host
-        # Account for the clock exactly once, coordinator-side, the same
-        # way ClusterSimulation.run batches it; workers exclude sim_ticks
-        # from every state they ship.
-        if seconds and sim._c_ticks is not None:
-            sim._c_ticks.inc(seconds)
+        replica = Replica(scenario_key(builder, kwargs), scenario, run_obs,
+                          build_seconds=0.0, stage="worker_adopt")
     result = ShardedRunResult(scenario=scenario, jobs=len(shards),
                               seconds=seconds, shards=shards, timers=timers)
     ephemeral: Optional[ShardPool] = None
@@ -435,7 +464,10 @@ def run_sharded(
             pool = default_pool()
     try:
         with timers.stage("coordinator_spawn"):
-            workers = pool.lease(len(shards))
+            # Forked workers adopt the replica as the builder left it, so
+            # nothing touches it before this lease (the clock is charged
+            # after).
+            workers = pool.lease(len(shards), replica=replica)
             for worker, (index, machines) in zip(workers, enumerate(shards)):
                 worker.index = index
                 worker.machines = machines
@@ -450,6 +482,11 @@ def run_sharded(
                     raise ShardCrashed(worker.index, worker.machines,
                                        f"protocol error: expected ready, "
                                        f"got {message[0]!r}")
+        # Account for the clock exactly once, coordinator-side, the same
+        # way ClusterSimulation.run batches it; workers exclude sim_ticks
+        # from every state they ship.
+        if seconds and sim._c_ticks is not None:
+            sim._c_ticks.inc(seconds)
         for t in barrier_ticks(sim.config.sampler, seconds):
             windows: list = []
             arrivals: list = []
@@ -508,6 +545,10 @@ def run_sharded(
             sim.now = seconds
             _merge_summaries(result, aggregator, summaries, host=host)
             _commit_rings(workers)
+            # A full run, as run_trials folds each trial: counters and
+            # histograms add, gauges take this run's values.
+            merge_state(caller_obs.metrics, export_state(run_obs.metrics),
+                        gauges="set")
         # Release last: workers loop back for the next lease (and may
         # prebuild the next replica) only once their rings are drained.
         for worker in workers:

@@ -1,19 +1,23 @@
 """The shard worker: one persistent process executing slices of the fleet.
 
-Each worker rebuilds the *full* deterministic scenario from a module-level
-builder plus kwargs (the "replicated build" — no machine state ever
-crosses a process boundary), then restricts execution to its shard of
-machines.  Per-machine RNG streams are spawned from the root seed before
-the restriction (`ClusterSimulation.__init__`), so which shard a machine
-lands on cannot change any draw — determinism by construction.
+Each worker holds a replica of the *full* deterministic scenario built
+from a module-level builder plus kwargs (the "replicated build" — no
+machine state is ever pickled across a process boundary), then restricts
+execution to its shard of machines.  Per-machine RNG streams are spawned
+from the root seed before the restriction (`ClusterSimulation.__init__`),
+so which shard a machine lands on cannot change any draw — determinism by
+construction.
 
 Workers are *persistent* (:class:`~repro.cluster.shards.ShardPool`): one
-process serves many runs, looping on ``("run", spec)`` requests.  The
-process-spawn cost is paid once per pool lifetime, and after a scenario
-key has run twice the worker *prebuilds* the next fresh replica during
-the idle gap after ``("release",)`` — so warm reruns of the same scenario
-(bench sweeps, repeated trials) start with both spawn and build already
-amortized.
+process serves many runs, looping on ``("run", spec)`` requests.  A
+worker forked for a run *adopts* the coordinator's freshly built replica
+— inherited through ``fork``, untouched since the builder returned — so
+a fresh pool pays the build once per run, not once per worker.  Workers
+that already exist build their replica on request, and after a scenario
+key has run twice they *prebuild* the next fresh replica during the idle
+gap after ``("release",)`` — so warm reruns of the same scenario (bench
+sweeps, repeated trials) start with both spawn and build already
+amortized.  On spawn-only platforms every worker builds its own.
 
 The worker owns everything machine-local: physics, samplers, agents
 (detection, throttling, follow-ups), and, under a fault profile, the
@@ -46,7 +50,8 @@ from repro.core.samplebatch import SampleColumns
 from repro.perf.profiling import StageTimers
 
 __all__ = ["ShardSpec", "ShardedRunUnsupported", "COORDINATOR_COUNTERS",
-           "barrier_ticks", "check_shardable", "run_pool_worker"]
+           "Replica", "barrier_ticks", "build_replica", "check_shardable",
+           "run_pool_worker", "scenario_key"]
 
 #: Counters owned by the coordinator and excluded from every worker
 #: export: the tick clock (accounted once, coordinator-side) and the
@@ -82,7 +87,7 @@ class ShardedRunUnsupported(RuntimeError):
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything one worker needs: rebuild the world, run its slice.
+    """Everything one worker needs: the world's recipe and its slice.
 
     Attributes:
         index: this shard's position in the plan (0-based).
@@ -101,15 +106,16 @@ class ShardSpec:
     machines: tuple[str, ...]
     seconds: int
 
-    def scenario_key(self) -> tuple:
-        """Identity of the *replica build* (shard-independent).
 
-        Two specs with the same key build byte-identical scenarios, so a
-        prebuilt replica for one can serve the other — the shard
-        restriction and run length are applied after the build.
-        """
-        return (self.builder, tuple(sorted(
-            (name, repr(value)) for name, value in self.kwargs.items())))
+def scenario_key(builder: Callable[..., Any], kwargs: dict) -> tuple:
+    """Identity of one replica build.
+
+    Two builds with the same key yield byte-identical scenarios, so a
+    replica built for one run can serve another — the shard restriction
+    and run length are applied after the build.
+    """
+    return (builder, tuple(sorted(
+        (name, repr(value)) for name, value in kwargs.items())))
 
 
 def barrier_ticks(sampler_config, seconds: int) -> list[int]:
@@ -189,27 +195,40 @@ class _TaskRef:
 
 
 @dataclass
-class _Prebuilt:
-    """A fresh replica built ahead of its run (see PREBUILD_AFTER_RUNS)."""
+class Replica:
+    """A fresh replica a worker starts its next run from, instead of building.
+
+    Either *prebuilt* by the worker itself after a release (see
+    PREBUILD_AFTER_RUNS), or *adopted*: the coordinator's own replica,
+    inherited through ``fork`` by a worker spawned for the run.  ``stage``
+    names the worker timer that records which of the two it was.
+    """
 
     key: tuple
     scenario: Any
     obs: Any
     build_seconds: float
+    stage: str = "worker_prebuild"
 
 
-def _build_scenario(spec: ShardSpec):
-    """One fresh, isolated replica build: new default facade, then build."""
+def build_replica(builder: Callable[..., Any], kwargs: dict):
+    """One fresh, isolated replica build: new default facade, then build.
+
+    Leaves the new facade installed as the process default and returns
+    ``(scenario, obs)``; callers that must restore their own default (the
+    coordinator) take it back afterwards.
+    """
     from repro.obs import Observability, set_default_observability
 
     obs = Observability()
     set_default_observability(obs)
-    scenario = spec.builder(**spec.kwargs)
+    scenario = builder(**kwargs)
     check_shardable(scenario)
     return scenario, obs
 
 
-def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
+def run_pool_worker(conn, ring_name: str, ring_capacity: int,
+                    adopted: Optional[Replica] = None) -> None:
     """Persistent worker entry point: loop run requests until stopped.
 
     Protocol (worker side): receive ``("run", spec)``; reply
@@ -218,26 +237,30 @@ def run_pool_worker(conn, ring_name: str, ring_capacity: int) -> None:
     ``("release",)``; optionally prebuild; loop.  ``("stop",)`` exits.
     Any per-run failure is reported as ``("error", index, traceback)`` and
     kills the process — the pool discards and respawns crashed workers.
+
+    ``adopted`` is the coordinator's replica, handed over only on a fork
+    start (inherited in memory, never pickled): it serves the first run
+    if that run's scenario key matches, exactly like a prebuilt replica.
     """
     ring = ShmRing.attach(ring_name, ring_capacity)
     spec: Optional[ShardSpec] = None
     try:
-        prebuilt: Optional[_Prebuilt] = None
+        prebuilt: Optional[Replica] = adopted
         run_counts: dict[tuple, int] = {}
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 return
             spec = message[1]
-            key = spec.scenario_key()
+            key = scenario_key(spec.builder, spec.kwargs)
             run_counts[key] = run_counts.get(key, 0) + 1
             _run_one(conn, ring, spec, prebuilt)
             prebuilt = None
             if run_counts[key] >= PREBUILD_AFTER_RUNS:
                 start = time.perf_counter()
-                scenario, obs = _build_scenario(spec)
-                prebuilt = _Prebuilt(key, scenario, obs,
-                                     time.perf_counter() - start)
+                scenario, obs = build_replica(spec.builder, spec.kwargs)
+                prebuilt = Replica(key, scenario, obs,
+                                   time.perf_counter() - start)
     except EOFError:
         # Coordinator went away without a stop message (its process is
         # exiting); nothing left to serve.
@@ -263,19 +286,19 @@ def _write_batch(ring: ShmRing, columns: SampleColumns) -> None:
 
 
 def _run_one(conn, ring: ShmRing, spec: ShardSpec,
-             prebuilt: Optional[_Prebuilt]) -> None:
+             prebuilt: Optional[Replica]) -> None:
     from repro.obs import set_default_observability
     from repro.obs.metrics import export_state
 
     timers = StageTimers()
-    key = spec.scenario_key()
-    if prebuilt is not None and prebuilt.key == key:
+    if (prebuilt is not None
+            and prebuilt.key == scenario_key(spec.builder, spec.kwargs)):
         scenario, obs = prebuilt.scenario, prebuilt.obs
         set_default_observability(obs)
-        timers.add("worker_prebuild", prebuilt.build_seconds, calls=1)
+        timers.add(prebuilt.stage, prebuilt.build_seconds, calls=1)
     else:
         with timers.stage("worker_build"):
-            scenario, obs = _build_scenario(spec)
+            scenario, obs = build_replica(spec.builder, spec.kwargs)
     with timers.stage("worker_restrict"):
         sim = scenario.simulation
         pipeline = scenario.pipeline

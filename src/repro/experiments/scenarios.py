@@ -190,8 +190,9 @@ def scale_scenario(num_machines: int = 50, seed: int = 11,
 
     Used by ``benchmarks/test_scale_fleet.py`` and, being a module-level
     builder, by the sharded engine's workers
-    (:func:`repro.cluster.shards.run_sharded` rebuilds it by reference in
-    every worker process).  ``config`` overrides the paper defaults — the
+    (:func:`repro.cluster.shards.run_sharded` builds it by reference in
+    the coordinator, and again in any worker that cannot adopt that
+    replica).  ``config`` overrides the paper defaults — the
     short parity runs relax ``spec_refresh_period`` and the per-task
     sample gate so a spec publish actually happens.
     """

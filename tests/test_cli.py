@@ -74,6 +74,19 @@ class TestCommands:
         assert "function calls" in out   # the cProfile report printed
         assert stats_path.exists()
 
+    def test_sharded_demo_profile_prints_stages(self, capsys, monkeypatch):
+        from repro import cli
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert main(["demo", "--minutes", "2", "--jobs", "2",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        stages = out.split("shard stages:\n", 1)[1]
+        assert "coordinator_build" in stages
+        # One start path per worker: adopted, built, or prebuilt.
+        assert any(path in stages for path in
+                   ("worker_adopt", "worker_build", "worker_prebuild"))
+
 
 class TestRegistry:
     def test_all_entries_have_descriptions(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import glob
 import math
+import multiprocessing as mp
 import os
 
 import pytest
@@ -33,7 +34,8 @@ from repro.core.config import CpiConfig
 from repro.core.samplebatch import SampleColumns
 from repro.experiments.chaos import ANTAGONIST_JOBS, chaos_scenario
 from repro.experiments.scenarios import build_cluster, scale_scenario
-from repro.obs import Observability
+from repro.obs import (Observability, default_observability,
+                       set_default_observability)
 from repro.perf.sampler import SamplerConfig
 from repro.records import CpiSample
 from repro.workloads import make_batch_job_spec
@@ -199,6 +201,149 @@ def test_sharded_quarantine_parity():
     assert sharded == baseline
 
 
+# -- fresh workers adopt the coordinator's replica ---------------------------
+
+
+#: True where ShardPool forks, so fresh workers adopt instead of building.
+FORKS = "fork" in mp.get_all_start_methods()
+
+
+def _replay(pipeline, samples, incidents) -> dict:
+    """Everything a run published, in byte-faithful canonical form."""
+    return {
+        "samples": _canon_samples(samples),
+        "incidents": _canon_incidents(incidents),
+        "specs": _canon_specs(pipeline.aggregator),
+        "state": pipeline.aggregator.export_state(),
+    }
+
+
+def single_replay(builder, kwargs, seconds: int):
+    """The in-process reference run: ``(replay, pipeline)``."""
+    scenario = builder(**kwargs)
+    pipeline = scenario.pipeline
+    pipeline.log_samples = True
+    scenario.simulation.run(seconds)
+    return (_replay(pipeline, pipeline.sample_log, pipeline.all_incidents()),
+            pipeline)
+
+
+def fresh_pool_replay(builder, kwargs, seconds: int, jobs: int,
+                      mp_context=None):
+    """One run on a brand-new pool: ``(replay, result)``."""
+    pool = ShardPool(mp_context=mp_context)
+    try:
+        result = run_sharded(builder, kwargs, seconds=seconds, jobs=jobs,
+                             log_samples=True, pool=pool)
+    finally:
+        pool.shutdown()
+    return (_replay(result.pipeline, result.sample_log,
+                    result.all_incidents()), result)
+
+
+def assert_start_path(result, jobs: int, adopted: bool) -> None:
+    """Every worker took the named start path, and only that one."""
+    stages = result.timers.report()
+    taken, other = (("worker_adopt", "worker_build") if adopted
+                    else ("worker_build", "worker_adopt"))
+    assert stages[taken]["calls"] == jobs
+    assert other not in stages
+    assert "worker_prebuild" not in stages
+
+
+@pytest.mark.parametrize("builder,kwargs,seconds", [
+    (scale_scenario, SCALE_KWARGS, 20 * 60),
+    (chaos_scenario, CHAOS_KWARGS, 3600),
+], ids=["clean", "moderate"])
+def test_fresh_pool_adoption_parity(builder, kwargs, seconds):
+    """Workers forked for the run adopt the coordinator's replica, and the
+    output stays byte-identical to the in-process run at 2 and 4 workers."""
+    baseline, _pipeline = single_replay(builder, kwargs, seconds)
+    assert len(baseline["samples"]) > 400
+    assert baseline["specs"]
+    for jobs in (2, 4):
+        replay, result = fresh_pool_replay(builder, kwargs, seconds, jobs)
+        assert replay == baseline, f"jobs={jobs}"
+        assert_start_path(result, jobs, adopted=FORKS)
+
+
+def test_spawn_context_builds_in_workers_and_matches():
+    """Spawned workers never see the replica: they build, and still match."""
+    seconds = 600
+    baseline, _pipeline = single_replay(scale_scenario, _POOL_KWARGS,
+                                        seconds)
+    replay, result = fresh_pool_replay(scale_scenario, _POOL_KWARGS,
+                                       seconds, jobs=2,
+                                       mp_context=mp.get_context("spawn"))
+    assert replay == baseline
+    assert_start_path(result, 2, adopted=False)
+
+
+def _counters(registry) -> dict:
+    return {(c.name, c.labels): c.value for c in registry.counters()
+            if c.value}
+
+
+def test_adopted_registry_ignores_caller_default():
+    """Back-to-back runs on one non-fresh default registry count each run
+    once: the adopted replica must not carry the caller's counts into its
+    workers' exports."""
+    seconds = 600
+    serial = Observability()
+    set_default_observability(serial)
+    for _ in range(2):
+        single_replay(scale_scenario, _POOL_KWARGS, seconds)
+    expected = _counters(serial.metrics)
+    assert expected[("detector_samples_seen", ())] > 0
+
+    caller = Observability()
+    set_default_observability(caller)
+    for _ in range(2):
+        _, result = fresh_pool_replay(scale_scenario, _POOL_KWARGS, seconds,
+                                      jobs=2)
+        assert_start_path(result, 2, adopted=FORKS)
+        # The run's own registry holds this run alone.
+        assert (result.obs.metrics.total("detector_samples_seen")
+                == expected[("detector_samples_seen", ())] / 2)
+    assert default_observability() is caller     # handed back untouched
+    assert _counters(caller.metrics) == expected
+
+
+def _open_fds() -> int:
+    """Open descriptors of this process (0 where /proc is absent)."""
+    path = "/proc/self/fd"
+    return len(os.listdir(path)) if os.path.isdir(path) else 0
+
+
+def test_failed_worker_start_leaks_nothing(monkeypatch):
+    """A process start that raises leaves no segment, pipe, or worker."""
+    from repro.cluster.shm import ShmRing
+
+    def refuse(self):
+        raise OSError("fork refused")
+
+    ShmRing.create().unlink()       # the resource tracker's pipe, up front
+    fds = _open_fds()
+    before = _repro_segments()
+    pool = ShardPool()
+    monkeypatch.setattr(pool._ctx.Process, "start", refuse)
+    error = None
+    try:
+        try:
+            run_sharded(scale_scenario, _POOL_KWARGS, seconds=300, jobs=2,
+                        pool=pool)
+        except OSError as exc:
+            # Held, as a caller logging it would: its traceback keeps the
+            # failed start's frames alive, so only explicit closes count.
+            error = exc
+        assert "fork refused" in str(error)
+        assert pool.size == 0
+        assert _repro_segments() == before
+        assert _open_fds() == fds
+    finally:
+        pool.shutdown()
+
+
 # -- crash surfacing ----------------------------------------------------------
 
 
@@ -252,15 +397,18 @@ def _repro_segments() -> set[str]:
 
 
 def test_warm_pool_reuses_workers_and_prebuilds():
-    """Reruns spawn no processes, and the third run hits a prebuilt replica."""
+    """Fresh workers adopt, reruns spawn nothing, run three is prebuilt."""
     pool = ShardPool()
     try:
         results = [run_sharded(scale_scenario, _POOL_KWARGS, seconds=300,
                                jobs=2, pool=pool) for _ in range(3)]
         assert pool.spawned_total == 2          # paid once, not per run
-        first, second, third = (r.timers.report() for r in results)
-        assert first["worker_build"]["calls"] == 2
-        assert "worker_prebuild" not in first
+        _, second, third = (r.timers.report() for r in results)
+        # Forked for run one, both workers adopt the coordinator's replica.
+        assert_start_path(results[0], 2, adopted=FORKS)
+        # Warm workers build their own replica on request.
+        assert second["worker_build"]["calls"] == 2
+        assert "worker_adopt" not in second
         # Same scenario twice seen -> workers prebuild after run 2's
         # release, so run 3 starts on a warm replica and never builds.
         assert "worker_build" not in third

@@ -17,6 +17,9 @@ from repro.cluster.shards import run_sharded
 from repro.core.config import CpiConfig
 from repro.experiments.chaos import chaos_scenario
 from repro.experiments.scenarios import demo_scenario, scale_scenario
+from repro.faults.profile import FAULT_PROFILES
+from tests.test_shards import (FORKS, assert_start_path, fresh_pool_replay,
+                               single_replay)
 
 #: Mirrors tests/test_shards.py: small enough to run repeatedly, big enough
 #: that 2- and 4-worker plans split jobs and machines across processes.
@@ -73,6 +76,30 @@ def test_telemetry_chaos_parity():
     for jobs in (1, 2, 4):
         assert _sharded(chaos_scenario, CHAOS_KWARGS, seconds,
                         jobs) == baseline, f"jobs={jobs}"
+
+
+def test_fresh_pool_adoption_parity_with_kill():
+    """Moderate chaos plus an aggregator kill, telemetry on: workers forked
+    for the run adopt the coordinator's replica, and every output — the
+    TSDB dump and alert history included — matches the in-process run."""
+    seconds = 3600
+    kwargs = dict(CHAOS_KWARGS, fault_profile=FAULT_PROFILES[
+        "moderate"].with_overrides(aggregator_kill_ticks=(1500,),
+                                   aggregator_outage_seconds=120))
+    baseline, pipeline = single_replay(chaos_scenario, kwargs, seconds)
+    assert pipeline.host.restarts == 1         # the kill really fired
+    assert baseline["incidents"]
+    series = pipeline.obs.timeseries.dump_lines()
+    alerts = pipeline.obs.alerts.dump_lines()
+    assert series
+    for jobs in (2, 4):
+        replay, result = fresh_pool_replay(chaos_scenario, kwargs, seconds,
+                                           jobs)
+        assert replay == baseline, f"jobs={jobs}"
+        assert result.obs.timeseries.dump_lines() == series, f"jobs={jobs}"
+        assert result.obs.alerts.dump_lines() == alerts, f"jobs={jobs}"
+        assert result.pipeline.host.restarts == 1
+        assert_start_path(result, jobs, adopted=FORKS)
 
 
 def test_heavy_chaos_fires_crash_storm_alert():
