@@ -257,12 +257,11 @@ class InterferenceModel:
     def tick_batch(
         self,
         platform: Platform,
-        names: Sequence[str],
         base_cpi: Sequence[float],
         grants: Sequence[float],
         table: ProfileTable,
         ws: "BatchWorkspace",
-    ) -> MachineContention:
+    ) -> None:
         """One machine-tick of contention + CPI + miss-rate math, fused.
 
         Computes exactly what the scalar methods above compute, for every
@@ -277,15 +276,11 @@ class InterferenceModel:
 
         Args:
             platform: the machine's hardware type.
-            names: task names, in table order.
             base_cpi: per-task contention-free CPI (validated positive here,
                 matching the scalar :meth:`effective_cpi`).
             grants: per-task granted CPU (never negative by construction).
             table: the resident tasks' columnized profiles.
             ws: scratch buffers sized for this task count.
-
-        Returns:
-            The same :class:`MachineContention` the scalar path builds.
         """
         cc, mc, tmp, tmp2 = ws.cache_contrib, ws.membw_contrib, ws.tmp, ws.tmp2
         infl, cpi = ws.inflation, ws.cpi
@@ -308,12 +303,6 @@ class InterferenceModel:
         membw_pressure = 0.0
         for v in membw_list:
             membw_pressure += v
-        contention = MachineContention(
-            cache_pressure=cache_pressure,
-            membw_pressure=membw_pressure,
-            cache_contrib=dict(zip(names, cache_list)),
-            membw_contrib=dict(zip(names, membw_list)),
-        )
         # inflation(): sensitivity * _saturate(pressure from everyone else).
         # _saturate's p <= 0 early-return is covered exactly: after
         # maximum(), p is 0.0 and 0.0 / (1.0 + 0.0) == 0.0.
@@ -346,7 +335,6 @@ class InterferenceModel:
         np.multiply(infl, 0.25 * self.miss_rate_coupling, tmp)
         np.add(tmp, 1.0, tmp)
         np.multiply(tmp, table.l2_base_mpki, ws.l2_mpki)
-        return contention
 
 
 class BatchWorkspace:

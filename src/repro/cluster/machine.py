@@ -44,8 +44,7 @@ import numpy as np
 
 from repro.cluster.demandplane import DemandColumns, resolve_demand_engine
 from repro.cluster.interference import (BatchWorkspace, InterferenceModel,
-                                        MachineContention, ProfileTable,
-                                        ResourceProfile)
+                                        ProfileTable, ResourceProfile)
 from repro.cluster.platform import Platform
 from repro.cluster.task import SchedulingClass, Task, TaskState
 from repro.perf.counters import CounterBank
@@ -107,8 +106,6 @@ class TickResult:
     grants: dict[str, float] = field(default_factory=dict)
     #: Effective CPI experienced per task name (after noise).
     cpis: dict[str, float] = field(default_factory=dict)
-    #: The contention summary used for this tick.
-    contention: Optional[MachineContention] = None
     #: Tasks that left the machine this tick, with their departure state.
     departures: list[tuple[Task, TaskState]] = field(default_factory=list)
 
@@ -396,60 +393,65 @@ class Machine:
         """Tick phases 1-3: demand, cgroup clipping, tier allocation, duty
         cycling, plus the per-task base-CPI reads.
 
-        Shared verbatim by the per-machine vector path and the cluster-fused
-        path (:mod:`repro.cluster.fused`) so the demand/base-CPI closure call
-        order — the RNG-ordering contract — cannot drift between them.  When
-        the table carries a compiled demand program (``demand_engine
-        "vector"`` and every workload/cgroup expressible), demand, clipping
-        and base-CPI reads run columnar; the closure loop below is the
-        scalar reference and the fallback.
-
         Returns:
             ``(grants, capped, base_cpi)`` as plain Python lists in table
             order.  ``capped`` remembers the hard-cap state for phase 6 (it
             cannot change within the tick, so the legacy path's second
             ``is_capped`` lookup is redundant).
         """
+        allowed, capped, base_cpi = self._tick_demand(t, table)
+        return self._tick_alloc(t, table, allowed, capped), capped, base_cpi
+
+    def _tick_demand(self, t: int, table: _TaskTable
+                     ) -> tuple[list[float], list[bool], list[float]]:
+        """Tick phases 1-2 plus the base-CPI reads: per-task demand clipped
+        by cgroup limit and any hard-cap.
+
+        Shared verbatim by the per-machine vector path and the cluster-fused
+        path (:mod:`repro.cluster.fused`) so the demand/base-CPI closure call
+        order — the RNG-ordering contract — cannot drift between them.  When
+        the table carries a compiled demand program (``demand_engine
+        "vector"`` and every workload/cgroup expressible), demand, clipping
+        and base-CPI reads run columnar; the closure loop below is the
+        scalar reference and the fallback.  base_cpi closures are pure
+        within a tick (modulation reads ``_now``, which only on_tick
+        advances), so reading them before allocation is unobservable.
+
+        Returns:
+            ``(allowed, capped, base_cpi)`` as plain Python lists in table
+            order.
+        """
         dc = table.demand_columns
         if dc is not None:
             allowed_arr, capped = dc.allowed_and_capped(t)
-            grants = self._tick_alloc(t, table, allowed_arr.tolist(), capped)
-            # base_cpi closures are pure within a tick (modulation reads
-            # ``_now``, which only on_tick advances), so reading them here
-            # rather than after allocation is unobservable.
             base_cpi = dc.base_cpi()
             if dc.check_base_cpi and not min(base_cpi) > 0:
                 bad = min(base_cpi)
                 raise ValueError(f"base_cpi must be positive, got {bad}")
-            return grants, capped, base_cpi
-        else:
-            cgroups = table.cgroups
-            cpu_limits = table.cpu_limits
-            n = len(cgroups)
+            return allowed_arr.tolist(), capped, base_cpi
 
-            # 1-2. demand, clipped by cgroup limit and any hard-cap.
-            allowed = [0.0] * n
-            capped = [False] * n
-            for i, fn in enumerate(table.demand_fns):
-                d = fn(t)
-                if not d > 0.0:     # matches max(0.0, d), including d = NaN
-                    d = 0.0
-                limit = cpu_limits[i]
-                a = d if d < limit else limit
-                cap = cgroups[i].cap_at(t)
-                if cap is not None:
-                    capped[i] = True
-                    if cap.quota < a:
-                        a = cap.quota
-                allowed[i] = a
-
-            grants = self._tick_alloc(t, table, allowed, capped)
-            base_cpi = [fn() for fn in table.base_cpi_fns]
-
+        cgroups = table.cgroups
+        cpu_limits = table.cpu_limits
+        n = len(cgroups)
+        allowed = [0.0] * n
+        capped = [False] * n
+        for i, fn in enumerate(table.demand_fns):
+            d = fn(t)
+            if not d > 0.0:     # matches max(0.0, d), including d = NaN
+                d = 0.0
+            limit = cpu_limits[i]
+            a = d if d < limit else limit
+            cap = cgroups[i].cap_at(t)
+            if cap is not None:
+                capped[i] = True
+                if cap.quota < a:
+                    a = cap.quota
+            allowed[i] = a
+        base_cpi = [fn() for fn in table.base_cpi_fns]
         if not min(base_cpi) > 0:
             bad = min(base_cpi)
             raise ValueError(f"base_cpi must be positive, got {bad}")
-        return grants, capped, base_cpi
+        return allowed, capped, base_cpi
 
     def _tick_alloc(self, t: int, table: _TaskTable, allowed: list[float],
                     capped: list[bool]) -> list[float]:
@@ -458,8 +460,8 @@ class Machine:
 
         Tier membership is a handful of index tuples and the sums must stay
         sequential left-to-right for bit-parity with the legacy loop, so
-        numpy would buy nothing here; both demand engines and the fused
-        fleet share this exact loop.
+        numpy would buy nothing for one machine; the fused fleet runs the
+        same branches as masks over all of its machines at once.
         """
         n = len(allowed)
         grants = [0.0] * n
@@ -496,8 +498,8 @@ class Machine:
         """Tick phases 5b-6: cgroup charging, context-switch accounting,
         and workload tick observations (which may trigger departures).
 
-        Shared by the per-machine vector path and the cluster-fused path;
-        mutates ``result.departures`` in place.
+        Mutates ``result.departures`` in place.  The fused fleet runs the
+        same bookkeeping as arena-wide passes.
         """
         dc = table.demand_columns
         total = self.total_cpu_seconds
@@ -589,8 +591,8 @@ class Machine:
 
         # 4. contention, inflation, CPI and miss rates — one fused batch.
         ws = table.workspace
-        result.contention = self.interference.tick_batch(
-            self.platform, names, base_cpi, grants, table.profile_table, ws)
+        self.interference.tick_batch(
+            self.platform, base_cpi, grants, table.profile_table, ws)
         cpi = ws.cpi
         sigma = self.cpi_noise_sigma
         if sigma > 0.0:
@@ -641,7 +643,6 @@ class Machine:
             [(task.name, grants[task.name], task.workload.resource_profile())
              for task in tasks],
         )
-        result.contention = contention
 
         for task in tasks:
             grant = grants[task.name]

@@ -192,3 +192,23 @@ def test_vector_exp_matches_scalar_exp():
     batched = np.exp(values)
     assert [v.hex() for v in batched.tolist()] == [
         float(np.exp(v)).hex() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("columns", [1, 3, 50])
+def test_accumulate_axis0_is_a_sequential_running_sum(columns):
+    """np.add.accumulate(m, axis=0)[-1] == a left-to-right Python sum per
+    column, bit-for-bit.
+
+    The fused fleet's per-machine sums (tier demand, pressure, running CPU
+    totals) rely on this.  ``np.add.reduce`` gives no such guarantee: a
+    ``(k, 1)`` matrix reduces as one contiguous run, summed pairwise.
+    """
+    rng = np.random.default_rng(columns)
+    for k in range(1, 41):
+        m = rng.random((k, columns)) * rng.choice([1e-3, 1.0, 1e3], k)[:, None]
+        got = np.add.accumulate(m, axis=0)[-1]
+        for c in range(columns):
+            total = 0.0
+            for v in m[:, c].tolist():
+                total += v
+            assert got[c].hex() == total.hex(), (k, c)
